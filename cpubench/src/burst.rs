@@ -7,25 +7,22 @@
 //! workload serves the built, untrained detector: it measures the load
 //! layer, not detection quality.
 //!
-//! The ladder is replayed outside the runtime by [`Ladder`] from the same
-//! public pieces (`LoadGenerator::arrivals`, `DegradePolicy`): after an
-//! untraced round its decisions must equal `LoadedRuntime::decisions`, and
-//! it tells which frame each score belongs to; the traced round executes
-//! its plans through the composed tick.
+//! Everything is read from the runtime's public accessors: the rung of
+//! each tick from `decisions()`, the ledger from `counters()`, queue waits
+//! from `wait_ticks()`, and which frame each score belongs to from the
+//! per-stream `stream_stats()` deltas of each tick.
 
 use crate::clock::{process_ns, thread_ns};
-use crate::exec::{Executor, LayerCounts};
-use crate::flops::CostModel;
-use crate::layers::{self, Spans};
-use crate::round::{Checks, Layers, RoundResult};
+use crate::reference::Reference;
+use crate::round::{Call, Checks, Layers, RoundResult};
 use crate::setup::{mix, system_config, tag, PhaseTimer, Pregen, SetupTimes, INITIAL};
 use crate::stats;
 use crate::trace::{Tracer, NO_FRAME};
 use adaptive_kg::core::adapt::AdaptConfig;
-use adaptive_kg::data::{Frame, SyntheticUcfCrime};
+use adaptive_kg::data::SyntheticUcfCrime;
 use adaptive_kg::runtime::{
     ArrivalPattern, DegradeLevel, DegradePolicy, EngineSpec, LoadConfig, LoadCounters,
-    LoadGenerator, LoadedRuntime, StreamPlan, TickDecision,
+    LoadGenerator, LoadedRuntime, StreamLoadStats,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -35,7 +32,7 @@ pub const STREAMS: usize = 16;
 pub const TICKS: u64 = 480;
 /// The trend shifts at the start of the third period.
 pub const SHIFT_TICK: u64 = 192;
-const AUC_ROUNDS: u64 = 2;
+const AUC_ROUNDS: u64 = 8;
 
 fn pattern() -> ArrivalPattern {
     ArrivalPattern::preset("bursty").expect("bursty is a preset")
@@ -45,129 +42,50 @@ fn priority(stream: usize) -> u8 {
     (stream % 3) as u8
 }
 
-/// The degrade ladder of `LoadedRuntime::tick`, over frame indices.
-pub struct Ladder {
-    generator: LoadGenerator,
-    policy: DegradePolicy,
-    /// Per stream: queued `(frame index, arrival tick)`, oldest first.
-    queues: Vec<VecDeque<(usize, u64)>>,
-    next_frame: Vec<usize>,
-    tick: u64,
-    pub counters: LoadCounters,
-    pub decisions: Vec<TickDecision>,
-    pub wait_ticks: Vec<f64>,
-}
-
-/// One tick's plan: per-stream plans and the frame indices each drains.
-pub struct TickPlan {
-    pub level: DegradeLevel,
-    pub plans: Vec<StreamPlan>,
-    pub drained: Vec<VecDeque<usize>>,
-}
-
-impl Ladder {
-    pub fn new(generator: LoadGenerator, policy: DegradePolicy, streams: usize) -> Self {
-        Ladder {
-            generator,
-            policy,
-            queues: vec![VecDeque::new(); streams],
-            next_frame: vec![0; streams],
-            tick: 0,
-            counters: LoadCounters::default(),
-            decisions: Vec::new(),
-            wait_ticks: Vec::new(),
-        }
-    }
-
-    /// Phase 1: arrivals into the bounded queues; `valid(stream, index)`
-    /// is the ingest validation.
-    pub fn arrive(&mut self, valid: &mut dyn FnMut(usize, usize) -> bool) {
-        for id in 0..self.queues.len() {
-            for _ in 0..self.generator.arrivals(self.tick, id as u64) {
-                let idx = self.next_frame[id];
-                self.next_frame[id] += 1;
-                self.counters.offered += 1;
-                if !valid(id, idx) {
-                    self.counters.rejected += 1;
-                } else if self.queues[id].len() >= self.policy.queue_capacity {
-                    self.counters.overflow_dropped += 1;
-                } else {
-                    self.queues[id].push_back((idx, self.tick));
-                }
-            }
-        }
-    }
-
-    /// Phases 2–4: rung, shedding, and each stream's drain.
-    pub fn plan(&mut self) -> TickPlan {
-        let now = self.tick;
-        let n = self.queues.len();
-        let max_depth = self.queues.iter().map(VecDeque::len).max().unwrap_or(0);
-        self.counters.max_queue_depth = self.counters.max_queue_depth.max(max_depth);
-        let level = self.policy.level(max_depth);
-        self.counters.ticks_at_level[level.index()] += 1;
-        let mut shed = 0u32;
-        if level == DegradeLevel::Shed {
-            let mut classes: Vec<u8> = (0..n).map(priority).collect();
-            classes.sort_unstable();
-            classes.dedup();
-            for class in classes {
-                for id in (0..n).filter(|&id| priority(id) == class) {
-                    for _ in 0..self.policy.shed_excess(self.queues[id].len()) {
-                        self.queues[id].pop_front();
-                        self.counters.shed += 1;
-                        shed += 1;
-                    }
-                }
-                if self.queues.iter().map(VecDeque::len).max().unwrap_or(0) < self.policy.shed_depth
-                {
-                    break;
-                }
-            }
-        }
-        let quota = self.policy.serve_quota(level);
-        let adapt = level == DegradeLevel::Normal;
-        let (mut served, mut coalesced) = (0u32, 0u32);
-        let mut plans = Vec::with_capacity(n);
-        let mut drained = Vec::with_capacity(n);
-        for queue in &mut self.queues {
-            let take = queue.len().min(quota);
-            let mut frames = VecDeque::with_capacity(take);
-            for j in 0..take {
-                let (idx, arrived) = queue.pop_front().expect("drain within queue length");
-                self.wait_ticks.push((now - arrived) as f64);
-                frames.push_back(idx);
-                if j + 1 < take {
-                    coalesced += 1;
-                    self.counters.coalesced += 1;
-                } else if adapt {
-                    served += 1;
-                    self.counters.served_full += 1;
-                } else {
-                    served += 1;
-                    self.counters.served_degraded += 1;
-                }
-            }
-            plans.push(StreamPlan { ingest: take, score: take > 0, adapt: adapt && take > 0 });
-            drained.push(frames);
-        }
-        self.counters.queued = self.queues.iter().map(VecDeque::len).sum();
-        self.counters.ticks += 1;
-        self.decisions.push(TickDecision {
-            tick: now,
-            level,
-            max_depth: max_depth as u32,
-            served,
-            coalesced,
-            shed,
-        });
-        self.tick += 1;
-        TickPlan { level, plans, drained }
-    }
-}
-
 /// Per stream, whether each of its frames is anomalous.
 type Labels = Vec<Vec<bool>>;
+
+/// Follows which frame index each stream's score belongs to. The runtime
+/// documents its queues as FIFO: a tick's arrivals are taken in order and
+/// tail-dropped once the queue is full, and shedding and draining both take
+/// the oldest frames. So a tick's `StreamLoadStats` delta says which
+/// indices entered, which left, and the last one drained is the one
+/// scored.
+struct Queues {
+    queued: Vec<VecDeque<usize>>,
+    next: Vec<usize>,
+    stats: Vec<StreamLoadStats>,
+}
+
+impl Queues {
+    fn new(streams: usize) -> Self {
+        Queues {
+            queued: vec![VecDeque::new(); streams],
+            next: vec![0; streams],
+            stats: vec![StreamLoadStats::default(); streams],
+        }
+    }
+
+    /// Per stream, the index of the frame scored by the tick that moved
+    /// the stats to `now`.
+    fn advance(&mut self, now: &[StreamLoadStats]) -> Vec<Option<usize>> {
+        let mut scored = vec![None; now.len()];
+        for (s, (was, now)) in self.stats.iter().zip(now).enumerate() {
+            let arrived = now.offered - was.offered;
+            let dropped =
+                (now.overflow_dropped - was.overflow_dropped) + (now.rejected - was.rejected);
+            let queue = &mut self.queued[s];
+            queue.extend(self.next[s]..self.next[s] + arrived - dropped);
+            self.next[s] += arrived;
+            queue.drain(..now.shed - was.shed);
+            let drained = (now.served_full + now.served_degraded + now.coalesced)
+                - (was.served_full + was.served_degraded + was.coalesced);
+            scored[s] = queue.drain(..drained).next_back();
+        }
+        self.stats.copy_from_slice(now);
+        scored
+    }
+}
 
 pub struct Burst {
     seed: u64,
@@ -175,15 +93,14 @@ pub struct Burst {
     pending: Option<(LoadedRuntime<Pregen>, Labels)>,
     levels_visited: [usize; 4],
     unbalanced_rounds: u64,
-    ladder_mismatches: u64,
+    /// Scores the stats deltas could not match to a frame.
+    unlabelled: u64,
     // traced-run layer data
-    layer_counts: LayerCounts,
     load: LoadCounters,
     tick_ns: [Vec<f64>; 4],
-    wait_ticks: Vec<f64>,
-    session_bytes: Vec<f64>,
+    wait_ticks_p99: Vec<f64>,
+    token_updates: u64,
     workspace_high_water: usize,
-    model_bytes: usize,
 }
 
 impl Burst {
@@ -196,14 +113,12 @@ impl Burst {
             pending: None,
             levels_visited: [0; 4],
             unbalanced_rounds: 0,
-            ladder_mismatches: 0,
-            layer_counts: LayerCounts::default(),
+            unlabelled: 0,
             load: LoadCounters::default(),
             tick_ns: Default::default(),
-            wait_ticks: Vec::new(),
-            session_bytes: Vec::new(),
+            wait_ticks_p99: Vec::new(),
+            token_updates: 0,
             workspace_high_water: 0,
-            model_bytes: 0,
         };
         let rt = w.runtime(0);
         times.build_s = timer.lap();
@@ -212,8 +127,8 @@ impl Burst {
         w
     }
 
-    fn generator(&self, round: u64) -> LoadGenerator {
-        LoadGenerator { pattern: pattern(), seed: mix(self.seed, round, 0, tag::ARRIVALS) }
+    fn arrivals_seed(&self, round: u64) -> u64 {
+        mix(self.seed, round, 0, tag::ARRIVALS)
     }
 
     fn adapt_config(&self, round: u64, stream: u64) -> AdaptConfig {
@@ -222,7 +137,7 @@ impl Burst {
 
     /// Each stream's frames: exactly as many as its arrivals over the round.
     fn sources(&self, round: u64) -> Vec<Pregen> {
-        let generator = self.generator(round);
+        let generator = LoadGenerator { pattern: pattern(), seed: self.arrivals_seed(round) };
         (0..STREAMS as u64)
             .map(|s| {
                 let arrivals = |ticks: std::ops::Range<u64>| -> usize {
@@ -237,11 +152,11 @@ impl Burst {
     fn runtime(&self, round: u64) -> LoadedRuntime<Pregen> {
         let cfg = LoadConfig {
             pattern: pattern(),
-            seed: self.generator(round).seed,
+            seed: self.arrivals_seed(round),
             policy: DegradePolicy::default(),
             max_batch: crate::exec::MAX_BATCH,
         };
-        LoadedRuntime::new(EngineSpec::new(&[INITIAL], system_config()), cfg)
+        LoadedRuntime::new(engine_spec(), cfg)
     }
 
     /// Registers the round's streams; returns the runtime and each
@@ -260,24 +175,57 @@ impl Burst {
         (rt, labels)
     }
 
-    fn ladder(&self, round: u64) -> Ladder {
-        Ladder::new(self.generator(round), DegradePolicy::default(), STREAMS)
-    }
-
-    pub fn untraced(&mut self, round: u64, want_auc: bool) -> RoundResult {
+    /// Serves one round: untraced with a reference kernel sample after
+    /// each tick, or traced with each tick a `load.tick` span. Returns the
+    /// round and its runtime, with each tick's CPU ns.
+    fn serve(
+        &mut self,
+        round: u64,
+        mut reference: Option<&mut Reference>,
+        mut tracer: Option<&mut Tracer>,
+        want_auc: bool,
+    ) -> (RoundResult, LoadedRuntime<Pregen>, Vec<u64>) {
         let (mut rt, labels) = match (round, self.pending.take()) {
             (0, Some(prepared)) => prepared,
             _ => self.register(self.runtime(round), round),
         };
         let mut res = RoundResult::default();
         let mut per_tick: Vec<Vec<Option<f32>>> = Vec::with_capacity(TICKS as usize);
+        let mut tick_ns = Vec::with_capacity(TICKS as usize);
+        let mut queues = Queues::new(STREAMS);
+        let (mut post_scores, mut post_labels) = (Vec::new(), Vec::new());
         let start = process_ns();
-        for _ in 0..TICKS {
-            let t0 = thread_ns();
-            let scores = rt.tick();
-            let ns = thread_ns() - t0;
-            let scored = scores.iter().flatten().count();
-            res.frame_cpu_ns.extend(std::iter::repeat_n(ns, scored));
+        for t in 0..TICKS {
+            let (scores, ns) = match tracer.as_deref_mut() {
+                Some(tracer) => {
+                    tracer.open("load.tick", NO_FRAME);
+                    let scores = rt.tick();
+                    (scores, tracer.close())
+                }
+                None => {
+                    let t0 = thread_ns();
+                    let scores = rt.tick();
+                    (scores, thread_ns() - t0)
+                }
+            };
+            tick_ns.push(ns);
+            if let Some(reference) = reference.as_deref_mut() {
+                let frames = scores.iter().flatten().count() as u32;
+                res.calls.push(Call { ns, frames, slowdown: reference.sample() });
+            }
+            if want_auc {
+                let scored = queues.advance(rt.stream_stats());
+                for (s, (idx, score)) in scored.iter().zip(&scores).enumerate() {
+                    match (idx, score) {
+                        (Some(idx), Some(score)) if t >= SHIFT_TICK => {
+                            post_scores.push(*score);
+                            post_labels.push(labels[s][*idx]);
+                        }
+                        (None, Some(_)) => self.unlabelled += 1,
+                        _ => {}
+                    }
+                }
+            }
             per_tick.push(scores);
         }
         res.cpu_ns = process_ns() - start;
@@ -293,96 +241,51 @@ impl Burst {
         if !c.balanced() {
             self.unbalanced_rounds += 1;
         }
-        for (seen, at) in self.levels_visited.iter_mut().zip(c.ticks_at_level) {
-            *seen += at;
-        }
-
-        // Replay the ladder to check its decisions and to label each score.
-        let mut ladder = self.ladder(round);
-        let (mut post_scores, mut post_labels) = (Vec::new(), Vec::new());
-        for (t, scores) in per_tick.iter().enumerate() {
-            ladder.arrive(&mut |_, _| true);
-            let plan = ladder.plan();
-            for (s, drained) in plan.drained.iter().enumerate() {
-                if let (Some(&idx), Some(score)) = (drained.back(), scores[s]) {
-                    if t as u64 >= SHIFT_TICK {
-                        post_scores.push(score);
-                        post_labels.push(labels[s][idx]);
-                    }
-                }
-            }
-        }
-        if ladder.decisions != rt.decisions() || ladder.counters != c {
-            self.ladder_mismatches += 1;
-        }
-        if want_auc && round < AUC_ROUNDS {
+        if want_auc {
             res.aucs.push(f64::from(adaptive_kg::eval::roc_auc(&post_scores, &post_labels)));
+        }
+        (res, rt, tick_ns)
+    }
+
+    pub fn untraced(
+        &mut self,
+        round: u64,
+        want_auc: bool,
+        reference: &mut Reference,
+    ) -> RoundResult {
+        let (res, rt, _) = self.serve(round, Some(reference), None, want_auc && round < AUC_ROUNDS);
+        for (seen, at) in self.levels_visited.iter_mut().zip(rt.counters().ticks_at_level) {
+            *seen += at;
         }
         res
     }
 
     pub fn traced(&mut self, round: u64, tracer: &mut Tracer) -> RoundResult {
-        let mut ex = Executor::new(EngineSpec::new(&[INITIAL], system_config()).build());
-        for s in 0..STREAMS as u64 {
-            ex.add_stream(mix(self.seed, round, s, tag::FRAME), self.adapt_config(round, s));
+        let (res, mut rt, tick_ns) = self.serve(round, None, Some(tracer), false);
+        for (d, ns) in rt.decisions().iter().zip(tick_ns) {
+            self.tick_ns[d.level.index()].push(ns as f64);
         }
-        let mut frames: Vec<Vec<Option<Frame>>> = self
-            .sources(round)
-            .into_iter()
-            .map(|p| p.0.into_iter().map(|(f, _)| Some(f)).collect())
-            .collect();
-        let cost = CostModel::of_engine(&ex.engine);
-        let mut ladder = self.ladder(round);
-        let mut res = RoundResult::default();
-        let start = process_ns();
-        for _ in 0..TICKS {
-            tracer.open("tick", NO_FRAME);
-            tracer.open("load.arrivals", NO_FRAME);
-            ladder.arrive(&mut |s, idx| {
-                frames[s][idx].as_ref().is_some_and(|f| f.validate().is_ok())
-            });
-            tracer.close();
-            tracer.open("load.plan", NO_FRAME);
-            let mut plan = ladder.plan();
-            tracer.close();
-            let scores = ex.execute(
-                &plan.plans,
-                &mut |s| {
-                    let idx = plan.drained[s].pop_front().expect("the plan drained this frame");
-                    (frames[s][idx].take().expect("each frame is served once"), false)
-                },
-                tracer,
-                &cost,
-            );
-            let ns = tracer.close();
-            self.tick_ns[plan.level.index()].push(ns as f64);
-            res.push_scores(&scores);
-        }
-        res.cpu_ns = process_ns() - start;
-        let c = ladder.counters;
-        res.offered = c.offered as u64;
-        res.served = c.drained() as u64;
-        res.failed = c.rejected as u64;
-        res.counts = load_words(&c);
-        res.counts.push(ex.counts.token_updates);
-        self.layer_counts.merge(&ex.counts);
+        let c = rt.counters();
         for (into, from) in self.load.ticks_at_level.iter_mut().zip(c.ticks_at_level) {
             *into += from;
         }
         self.load.coalesced += c.coalesced;
         self.load.shed += c.shed;
         self.load.overflow_dropped += c.overflow_dropped;
-        self.wait_ticks.extend_from_slice(&ladder.wait_ticks);
-        self.session_bytes.extend(ex.sessions().map(|s| s.state_bytes() as f64));
-        self.workspace_high_water = self.workspace_high_water.max(ex.workspace_high_water_bytes());
-        self.model_bytes = ex.engine.model_bytes();
+        self.wait_ticks_p99.push(rt.wait_ticks().percentile(0.99) as f64);
+        self.token_updates += rt.serve_counters().token_updates as u64;
+        for snap in rt.stream_snapshots() {
+            self.workspace_high_water =
+                self.workspace_high_water.max(snap.workspace.high_water_bytes());
+        }
         res
     }
 
+    /// The untraced rounds run in both modes; the labels are only
+    /// followed when `post_shift_auc` is reported.
     pub fn checks(&self, traced: bool, checks: &mut Checks) {
-        if traced {
-            return;
-        }
+        checks
+            .add("the LoadCounters ledger balances after every round", self.unbalanced_rounds == 0);
         checks.add(
             format!(
                 "camera-burst visits every degrade rung (ticks per rung {:?})",
@@ -390,16 +293,15 @@ impl Burst {
             ),
             self.levels_visited.iter().all(|&n| n > 0),
         );
-        checks
-            .add("the LoadCounters ledger balances after every round", self.unbalanced_rounds == 0);
-        checks.add(
-            "the replayed ladder reproduces LoadedRuntime's decisions and counters",
-            self.ladder_mismatches == 0,
-        );
+        if !traced {
+            checks.add(
+                "every camera-burst score is matched to the frame it scored",
+                self.unlabelled == 0,
+            );
+        }
     }
 
-    pub fn layers(&self, spans: &Spans, layers: &mut Layers) {
-        layers::counts(&self.layer_counts, spans, layers);
+    pub fn layers(&self, layers: &mut Layers) {
         for level in DegradeLevel::ALL {
             let ns = &self.tick_ns[level.index()];
             layers.insert(format!("load.ticks.{}", level.name()), ns.len() as f64);
@@ -408,11 +310,17 @@ impl Burst {
         layers.insert("load.coalesced".into(), self.load.coalesced as f64);
         layers.insert("load.shed".into(), self.load.shed as f64);
         layers.insert("load.overflow_dropped".into(), self.load.overflow_dropped as f64);
-        layers.insert("load.wait_ticks_p99".into(), stats::p99_or_lower(&self.wait_ticks));
-        layers.insert("mem.model_bytes".into(), self.model_bytes as f64);
-        layers.insert("mem.session_bytes_mean".into(), stats::mean(&self.session_bytes));
+        layers.insert("load.wait_ticks_p99".into(), stats::median(&self.wait_ticks_p99));
+        layers.insert("adapt.token_updates".into(), self.token_updates as f64);
+        // The runtime keeps its engine private; an engine built from the
+        // same spec has the same weights.
+        layers.insert("mem.model_bytes".into(), engine_spec().build().model_bytes() as f64);
         layers.insert("mem.workspace_high_water_bytes".into(), self.workspace_high_water as f64);
     }
+}
+
+fn engine_spec() -> EngineSpec {
+    EngineSpec::new(&[INITIAL], system_config())
 }
 
 fn load_words(c: &LoadCounters) -> Vec<u64> {

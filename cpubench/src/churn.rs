@@ -6,7 +6,8 @@
 
 use crate::clock::{process_ns, thread_ns};
 use crate::records::out_dir;
-use crate::round::{Checks, Layers, RoundResult};
+use crate::reference::Reference;
+use crate::round::{Call, Checks, Layers, RoundResult};
 use crate::setup::{mix, tag, PhaseTimer, Pregen, SetupTimes, Trained};
 use crate::stats;
 use crate::trace::Tracer;
@@ -15,14 +16,17 @@ use adaptive_kg::core::engine::Engine;
 use adaptive_kg::data::Frame;
 use adaptive_kg::runtime::{SessionTier, TierConfig, TierCounters};
 
-/// Sessions registered per round.
-pub const REGISTERED: usize = 1024;
+/// Sessions registered per round: 4× the resident cap, so about three
+/// frames in four miss. With 1024 the spool's file-system calls took about
+/// a third of serving CPU and made runs on a disk-backed checkout swing by
+/// 30%; at 256 they take about a tenth.
+pub const REGISTERED: usize = 256;
 /// Sessions the tier keeps resident.
 pub const MAX_RESIDENT: usize = 64;
 /// `serve_frame` calls per round; the trend shifts half-way.
 pub const SERVES: usize = 2048;
 /// Rounds whose post-shift scores enter `post_shift_auc`.
-const AUC_ROUNDS: u64 = 4;
+const AUC_ROUNDS: u64 = 8;
 
 /// One round's inputs: which session each frame goes to, and the frames.
 struct Plan {
@@ -80,8 +84,14 @@ impl Churn {
         Plan { order, frames }
     }
 
+    /// Every round and every run spools into one directory next to the
+    /// executable. A tier only reads back files it wrote itself, so files
+    /// left by an earlier round are never read, only overwritten. Creating
+    /// and deleting a fresh directory of spool files per round made the
+    /// file system slower with every run in a sequence: over ten runs the
+    /// p99 climbed from 0.74 ms to 1.27 ms.
     fn tier(&self, engine: Engine, round: u64) -> SessionTier {
-        let spool_dir = out_dir().join(format!("cpubench-spool-{}-{round}", std::process::id()));
+        let spool_dir = out_dir().join("cpubench-spool");
         let mut tier =
             SessionTier::new(engine, TierConfig { max_resident: MAX_RESIDENT, spool_dir });
         for id in 0..REGISTERED as u64 {
@@ -101,10 +111,15 @@ impl Churn {
         }
     }
 
-    pub fn untraced(&mut self, round: u64, want_auc: bool) -> RoundResult {
+    pub fn untraced(
+        &mut self,
+        round: u64,
+        want_auc: bool,
+        reference: &mut Reference,
+    ) -> RoundResult {
         let (mut tier, plan) = self.fresh(round);
         let mut res = RoundResult { offered: SERVES as u64, ..RoundResult::default() };
-        res.frame_cpu_ns.reserve(SERVES);
+        res.calls.reserve(SERVES);
         let mut post_scores = Vec::with_capacity(SERVES / 2);
         let mut post_labels = Vec::with_capacity(SERVES / 2);
         let start = process_ns();
@@ -112,10 +127,14 @@ impl Churn {
             let t0 = thread_ns();
             let served = tier.serve_frame(id, frame);
             let ns = thread_ns() - t0;
+            res.calls.push(Call {
+                ns,
+                frames: u32::from(served.is_ok()),
+                slowdown: reference.sample(),
+            });
             match served {
                 Ok(score) => {
                     res.scores.push(score.to_bits());
-                    res.frame_cpu_ns.push(ns);
                     if i >= SERVES / 2 {
                         post_scores.push(score);
                         post_labels.push(*label);
@@ -134,7 +153,6 @@ impl Churn {
         if want_auc && round < AUC_ROUNDS {
             res.aucs.push(f64::from(adaptive_kg::eval::roc_auc(&post_scores, &post_labels)));
         }
-        tier.clear_spool();
         res
     }
 
@@ -175,23 +193,17 @@ impl Churn {
         self.spool_bytes
             .extend((0..REGISTERED).filter_map(|id| tier.checkpoint_bytes(id)).map(|b| b as f64));
         self.session_bytes.push(tier.resident_bytes() as f64 / tier.resident_count().max(1) as f64);
-        tier.clear_spool();
         res
     }
 
-    pub fn checks(&self, traced: bool, checks: &mut Checks) {
-        let failures = if traced {
-            self.counters.rehydration_failures as u64
-        } else {
-            self.rehydration_failures
-        };
+    /// The untraced rounds run in both modes; a traced run adds its own.
+    pub fn checks(&self, checks: &mut Checks) {
+        let failures = self.rehydration_failures + self.counters.rehydration_failures as u64;
         checks.add("session-churn has no rehydration failures", failures == 0);
-        if !traced {
-            checks.add(
-                format!("most session-churn frames miss ({} of {})", self.misses, self.serves),
-                2 * self.misses > self.serves,
-            );
-        }
+        checks.add(
+            format!("most session-churn frames miss ({} of {})", self.misses, self.serves),
+            2 * self.misses > self.serves,
+        );
     }
 
     pub fn layers(&self, root_ns: u64, layers: &mut Layers) {

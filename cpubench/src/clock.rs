@@ -99,6 +99,27 @@ pub fn peak_rss_mb() -> f64 {
         .unwrap_or(0.0)
 }
 
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+extern "C" {
+    fn malloc_trim(pad: usize) -> i32;
+}
+
+/// Returns the allocator's free heap to the system, then resets `VmHWM`
+/// to the current resident set (`5` to `/proc/self/clear_refs`), so a
+/// later read covers live memory plus what came after. Without the trim,
+/// the heap an earlier token update freed would stay resident and lift
+/// every later reading. Where the kernel refuses the reset, `VmHWM` keeps
+/// the process's lifetime peak.
+pub fn reset_peak_rss() {
+    // SAFETY: `malloc_trim` only releases free heap pages; no pointer the
+    // program holds is affected.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    unsafe {
+        malloc_trim(0);
+    }
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,8 @@
 use crate::clock::{process_ns, thread_ns};
 use crate::exec::{Executor, LayerCounts};
 use crate::layers::Spans;
-use crate::round::{Checks, Layers, RoundResult};
+use crate::reference::Reference;
+use crate::round::{Call, Checks, Layers, RoundResult};
 use crate::setup::{mix, tag, PhaseTimer, Pregen, SetupTimes, Trained, SHIFTED};
 use crate::stats;
 use crate::trace::{Tracer, NO_FRAME};
@@ -108,7 +109,12 @@ impl Closed {
         rt
     }
 
-    pub fn untraced(&mut self, round: u64, want_auc: bool) -> RoundResult {
+    pub fn untraced(
+        &mut self,
+        round: u64,
+        want_auc: bool,
+        reference: &mut Reference,
+    ) -> RoundResult {
         let mut rt = match (round, self.pending.take()) {
             (0, Some(rt)) => rt,
             _ => self.runtime(self.trained.engine(), round),
@@ -116,7 +122,7 @@ impl Closed {
         let n = self.spec.streams;
         let plans = vec![StreamPlan { adapt: self.spec.adapt, ..StreamPlan::default() }; n];
         let mut res = RoundResult { offered: (n * self.ticks()) as u64, ..RoundResult::default() };
-        res.frame_cpu_ns.reserve(n * self.ticks());
+        res.calls.reserve(self.ticks());
         res.scores.reserve(n * self.ticks());
         let mut updates_at_shift = 0;
         let start = process_ns();
@@ -125,17 +131,17 @@ impl Closed {
                 updates_at_shift = rt.counters().token_updates;
             }
             let t0 = thread_ns();
-            if self.spec.adapt {
+            let (scores, ns): (Vec<Option<f32>>, u64) = if self.spec.adapt {
                 let scores = rt.tick();
                 let ns = thread_ns() - t0;
-                res.scores.extend(scores.iter().map(|s| s.to_bits()));
-                res.frame_cpu_ns.extend(std::iter::repeat_n(ns, scores.len()));
+                (scores.into_iter().map(Some).collect(), ns)
             } else {
                 let scores = rt.tick_with_plan(&plans);
-                let ns = thread_ns() - t0;
-                res.push_scores(&scores);
-                res.frame_cpu_ns.extend(std::iter::repeat_n(ns, scores.iter().flatten().count()));
-            }
+                (scores, thread_ns() - t0)
+            };
+            let frames = scores.iter().flatten().count() as u32;
+            res.calls.push(Call { ns, frames, slowdown: reference.sample() });
+            res.push_scores(&scores);
         }
         res.cpu_ns = process_ns() - start;
         let c = rt.counters();
@@ -203,27 +209,32 @@ impl Closed {
     }
 
     /// Non-vacuity: the workload still exercises (or still bypasses)
-    /// adaptation.
+    /// adaptation. The untraced rounds run in both modes, and their
+    /// counters come from the runtime; the traced ones come from the
+    /// adapters' own event logs.
     pub fn checks(&self, traced: bool, checks: &mut Checks) {
         if self.spec.adapt {
-            if !traced {
+            checks.add(
+                "trend-shift fires token updates after the shift",
+                self.post_shift_updates > 0,
+            );
+            if traced {
                 checks.add(
-                    "trend-shift fires token updates after the shift",
-                    self.post_shift_updates > 0,
-                );
-            } else {
-                checks.add(
-                    "trend-shift traced run fires token updates",
+                    "trend-shift traced adapters log token updates",
                     self.layer_counts.token_updates > 0,
                 );
             }
-        } else if !traced {
+        } else {
             checks.add(
-                "static-kg runs no adaptation",
+                "static-kg runs no adaptation (runtime counters)",
                 self.token_updates == 0 && self.replacements == 0,
             );
-        } else {
-            checks.add("static-kg runs zero adaptation checks", self.layer_counts.checks == 0);
+            if traced {
+                checks.add(
+                    "static-kg traced adapters log no adaptation event",
+                    self.layer_counts.token_updates == 0 && self.layer_counts.replacements == 0,
+                );
+            }
         }
     }
 }

@@ -104,7 +104,7 @@ pub fn spans(spans: &Spans, root_ns: u64, empty_span_ns: u64, layers: &mut Layer
     layers.insert("ingest.self_pct".into(), share(spans, &["ingest"], root_ns));
     layers.insert("score.self_pct".into(), share(spans, &["score"], root_ns));
     layers.insert("adapt.self_pct".into(), share(spans, &["adapt"], root_ns));
-    layers.insert("load.self_pct".into(), share(spans, &["load.arrivals", "load.plan"], root_ns));
+    layers.insert("load.self_pct".into(), share(spans, &["load.tick"], root_ns));
 }
 
 /// Metrics from the composed tick's work counts.

@@ -9,7 +9,9 @@
 //! ```
 //!
 //! All durations are CPU time of the single serving thread (kernels run
-//! with `Parallelism::Sequential`); see `clock.rs` for why. `--trace 0`
+//! with `Parallelism::Sequential`); see `clock.rs` for why. The end-to-end
+//! frame figures are further scaled to a fixed host speed by reference
+//! kernels run after every serving call; see `reference.rs`. `--trace 0`
 //! reports the end-to-end metrics; `--trace 1` replays each round of the
 //! same seed once untraced and once with spans around every public call,
 //! checks the two agree bit for bit, and reports the per-layer metrics.
@@ -22,12 +24,14 @@ mod exec;
 mod flops;
 mod layers;
 mod records;
+mod reference;
 mod round;
 mod setup;
 mod stats;
 mod trace;
 
 use clock::{process_ns, HostProbe};
+use reference::Reference;
 use round::{Checks, Layers, RoundResult};
 use setup::{PhaseTimer, SetupTimes};
 use trace::Tracer;
@@ -130,11 +134,11 @@ impl Work {
         }
     }
 
-    fn untraced(&mut self, round: u64, want_auc: bool) -> RoundResult {
+    fn untraced(&mut self, round: u64, want_auc: bool, reference: &mut Reference) -> RoundResult {
         match self {
-            Work::Closed(w) => w.untraced(round, want_auc),
-            Work::Churn(w) => w.untraced(round, want_auc),
-            Work::Burst(w) => w.untraced(round, want_auc),
+            Work::Closed(w) => w.untraced(round, want_auc, reference),
+            Work::Churn(w) => w.untraced(round, want_auc, reference),
+            Work::Burst(w) => w.untraced(round, want_auc, reference),
         }
     }
 
@@ -149,7 +153,7 @@ impl Work {
     fn checks(&self, traced: bool, checks: &mut Checks) {
         match self {
             Work::Closed(w) => w.checks(traced, checks),
-            Work::Churn(w) => w.checks(traced, checks),
+            Work::Churn(w) => w.checks(checks),
             Work::Burst(w) => w.checks(traced, checks),
         }
     }
@@ -158,26 +162,31 @@ impl Work {
         match self {
             Work::Closed(w) => w.layers(spans, layers),
             Work::Churn(w) => w.layers(root_ns, layers),
-            Work::Burst(w) => w.layers(spans, layers),
+            Work::Burst(w) => w.layers(layers),
         }
     }
 }
 
-/// Totals over the rounds of one mode, and each round's timing figures.
+/// Totals over the rounds of one mode. The untraced rounds also keep
+/// every timed call, scaled to the reference speed.
 #[derive(Default)]
 struct Totals {
     rounds: u64,
     offered: u64,
     served: u64,
     failed: u64,
+    /// Process CPU ns of the rounds' serving loops (the time budget).
     cpu_ns: u64,
-    frames_timed: usize,
+    /// Each timed call's scaled CPU ns and the frames it emitted.
+    calls: Vec<(f64, u32)>,
+    /// Sum of the scaled CPU ns of the timed calls.
+    scaled_ns: f64,
     aucs: Vec<f64>,
-    /// Per round: frames per CPU-second, and the median and tail of the
-    /// per-frame CPU ms.
+    /// Per round: frames per scaled and per raw CPU-second of the timed
+    /// calls, and the median host slowdown.
     round_rates: Vec<f64>,
-    round_p50_ms: Vec<f64>,
-    round_p99_ms: Vec<f64>,
+    round_raw_rates: Vec<f64>,
+    round_slowdowns: Vec<f64>,
 }
 
 impl Totals {
@@ -188,13 +197,19 @@ impl Totals {
         self.failed += r.failed;
         self.cpu_ns += r.cpu_ns;
         self.aucs.extend_from_slice(&r.aucs);
-        if !r.frame_cpu_ns.is_empty() {
-            let ms: Vec<f64> = r.frame_cpu_ns.iter().map(|&ns| ns as f64 * 1e-6).collect();
-            self.frames_timed += ms.len();
-            self.round_rates.push(r.served as f64 / (r.cpu_ns as f64 * 1e-9));
-            self.round_p50_ms.push(stats::percentile(&ms, 0.5));
-            self.round_p99_ms.push(stats::p99_or_lower(&ms));
+        if r.calls.is_empty() {
+            return;
         }
+        let ns: Vec<u64> = r.calls.iter().map(|c| c.ns).collect();
+        let slowdowns: Vec<f64> = r.calls.iter().map(|c| c.slowdown).collect();
+        let scaled = reference::scale(&ns, &slowdowns);
+        let round_scaled: f64 = scaled.iter().sum();
+        let round_raw = ns.iter().sum::<u64>() as f64;
+        self.scaled_ns += round_scaled;
+        self.calls.extend(scaled.iter().zip(&r.calls).map(|(&v, c)| (v, c.frames)));
+        self.round_rates.push(r.served as f64 / (round_scaled * 1e-9));
+        self.round_raw_rates.push(r.served as f64 / (round_raw * 1e-9));
+        self.round_slowdowns.push(stats::median(&slowdowns));
     }
 }
 
@@ -222,56 +237,65 @@ fn set_up(args: &Args) -> (Work, Vec<SetupTimes>) {
 
 /// Serves rounds until their CPU time reaches the budget. With tracing,
 /// each round is served untraced and then replayed with spans, and the
-/// two must agree bit for bit.
+/// two must agree bit for bit. Also returns each untraced round's peak
+/// RSS in MB: the peak is reset before the round and read after it.
 fn serve(
     args: &Args,
     work: &mut Work,
+    kernel: &mut Reference,
     tracer: &mut Tracer,
     checks: &mut Checks,
-) -> (Totals, Totals) {
+) -> (Totals, Totals, Vec<f64>) {
     let budget_ns = args.seconds * 1_000_000_000;
     let (mut untraced, mut traced) = (Totals::default(), Totals::default());
     let mut digests = Vec::new();
+    let mut rss_mb = Vec::new();
     let mut round = 0u64;
     while round < MIN_ROUNDS || untraced.cpu_ns + traced.cpu_ns < budget_ns {
-        let reference = work.untraced(round, !args.trace);
-        digests.push((round, reference.digest()));
+        clock::reset_peak_rss();
+        let plain = work.untraced(round, !args.trace, kernel);
+        rss_mb.push(clock::peak_rss_mb());
+        digests.push((round, plain.digest()));
         if args.trace {
             let replay = work.traced(round, tracer);
             checks.add(
                 format!("round {round}: traced scores equal untraced scores bit for bit"),
-                replay.scores == reference.scores,
+                replay.scores == plain.scores,
             );
             checks.add(
                 format!("round {round}: traced counts equal untraced counts"),
-                replay.counts == reference.counts,
+                replay.counts == plain.counts,
             );
             traced.add(replay);
         }
-        untraced.add(reference);
+        untraced.add(plain);
         round += 1;
     }
     work.checks(args.trace, checks);
     checks.add("the rounds served at least one frame", untraced.served > 0);
     records::compare_and_store(&args.workload, args.seed, &digests, checks);
-    (untraced, traced)
+    (untraced, traced, rss_mb)
 }
 
-fn end_to_end(untraced: &Totals, setups: &[SetupTimes], setup_rss_mb: f64, values: &mut Layers) {
-    // Per-frame figures are taken per round, then averaged: the host's
-    // speed drifts between regimes lasting seconds, and a mean moves
-    // smoothly with the share of time spent in each, where a quantile of
-    // the pooled samples jumps between them.
-    println!("# {} frames timed in {} rounds", untraced.frames_timed, untraced.rounds);
+fn end_to_end(untraced: &Totals, setups: &[SetupTimes], rss_mb: f64, values: &mut Layers) {
+    let p99 = stats::p99_or_lower_weighted(&untraced.calls);
+    let frames: u64 = untraced.calls.iter().map(|c| u64::from(c.1)).sum();
+    println!(
+        "# {frames} frames timed over {} calls in {} rounds; frame_cpu_ms_p99 is the p{} with {} calls beyond it",
+        untraced.calls.len(),
+        untraced.rounds,
+        100.0 * p99.level,
+        p99.beyond
+    );
     let setup_s: Vec<f64> = setups.iter().map(|s| s.total_s).collect();
     for (name, value) in [
-        ("frames_per_cpu_s", untraced.served as f64 / (untraced.cpu_ns as f64 * 1e-9)),
-        ("frame_cpu_ms_p50", stats::mean(&untraced.round_p50_ms)),
-        ("frame_cpu_ms_p99", stats::mean(&untraced.round_p99_ms)),
+        ("frames_per_cpu_s", untraced.served as f64 / (untraced.scaled_ns * 1e-9)),
+        ("frame_cpu_ms_p50", stats::percentile_weighted(&untraced.calls, 0.5) * 1e-6),
+        ("frame_cpu_ms_p99", p99.value * 1e-6),
         ("served_pct", 100.0 * untraced.served as f64 / untraced.offered as f64),
         ("post_shift_auc", stats::mean(&untraced.aucs)),
         ("setup_s", stats::median(&setup_s)),
-        ("peak_rss_mb", setup_rss_mb),
+        ("peak_rss_mb", rss_mb),
     ] {
         values.insert(name.into(), value);
     }
@@ -319,14 +343,11 @@ fn main() {
     let args = parse_args();
     let host = HostProbe::start();
     let (mut work, setups) = set_up(&args);
-    // Peak memory is read before serving: a token update's transient
-    // raises it by about 6 MB, and on `camera-burst` whether one fires in
-    // the first rounds depends on the seed. The end-of-run figure is
-    // printed as a diagnostic.
     let setup_rss_mb = clock::peak_rss_mb();
     let mut checks = Checks::default();
     let mut tracer = Tracer::new();
-    let (untraced, traced) = serve(&args, &mut work, &mut tracer, &mut checks);
+    let mut kernel = Reference::new();
+    let (untraced, traced, rss_mb) = serve(&args, &mut work, &mut kernel, &mut tracer, &mut checks);
 
     // Host diagnostics, printed on every run and kept with the layers.
     let host = host.finish();
@@ -340,21 +361,18 @@ fn main() {
         .map(|name| format!("{name}={:.4}", values[*name]))
         .collect();
     println!("# {} rounds={}", host_line.join(" "), untraced.rounds);
-    println!("# frames per CPU-second by round: {}", list(&untraced.round_rates, 0));
-    println!("# frame CPU ms p50 by round: {}", list(&untraced.round_p50_ms, 4));
-    println!("# frame CPU ms p99 by round: {}", list(&untraced.round_p99_ms, 3));
+    println!("# frames per scaled CPU-second by round: {}", list(&untraced.round_rates, 0));
+    println!("# frames per raw CPU-second by round: {}", list(&untraced.round_raw_rates, 0));
+    println!("# host slowdown by round: {}", list(&untraced.round_slowdowns, 3));
     let setup_s: Vec<f64> = setups.iter().map(|s| s.total_s).collect();
     println!("# setup_s per set-up: {}", list(&setup_s, 4));
-    println!(
-        "# VmHWM after set-up {setup_rss_mb:.2} MB, at the end {:.2} MB",
-        clock::peak_rss_mb()
-    );
+    println!("# VmHWM after set-up {setup_rss_mb:.2} MB; by round: {}", list(&rss_mb, 2));
 
     let table = if args.trace {
         per_layer(&args, &work, &tracer, (&untraced, &traced), &setups, &mut values, &mut checks);
         layers::PER_LAYER
     } else {
-        end_to_end(&untraced, &setups, setup_rss_mb, &mut values);
+        end_to_end(&untraced, &setups, stats::median(&rss_mb), &mut values);
         END_TO_END
     };
     // A layer a workload does not reach reports 0.

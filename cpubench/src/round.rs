@@ -5,6 +5,18 @@
 
 use std::collections::BTreeMap;
 
+/// One timed serving call (a tick or a `serve_frame`).
+#[derive(Debug, Clone, Copy)]
+pub struct Call {
+    /// CPU ns of the call on the serving thread.
+    pub ns: u64,
+    /// Scores the call emitted.
+    pub frames: u32,
+    /// The host's slowdown, sampled by the reference kernels right after
+    /// the call.
+    pub slowdown: f64,
+}
+
 #[derive(Debug, Default, Clone)]
 pub struct RoundResult {
     /// Frames offered to the serving layer.
@@ -15,8 +27,8 @@ pub struct RoundResult {
     pub failed: u64,
     /// Process CPU ns of the round's serving loop.
     pub cpu_ns: u64,
-    /// CPU ns of the serving call that emitted each scored frame's score.
-    pub frame_cpu_ns: Vec<u64>,
+    /// Every timed serving call of an untraced round, in order.
+    pub calls: Vec<Call>,
     /// Every emitted score, as bits, in emission order.
     pub scores: Vec<u32>,
     /// Exact counts that must repeat across runs of one seed.
