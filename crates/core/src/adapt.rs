@@ -23,7 +23,6 @@ use akg_eval::MeanShiftTracker;
 use akg_kg::modify::{create_node, repair_connectivity, CreateConfig};
 use akg_kg::NodeId;
 use akg_tensor::optim::{Optimizer, Sgd};
-use akg_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -355,13 +354,10 @@ impl ContinuousAdapter {
     /// Panics if no frame has been ingested yet.
     pub fn fill_window_refs<'a>(&'a self, engine: &Engine, out: &mut Vec<&'a [f32]>) {
         assert!(!self.buffer.is_empty(), "fill_window_refs: no frame ingested");
-        let window_len = engine.model.config().window;
-        let end = self.buffer.len() - 1;
-        let start = end.saturating_sub(window_len - 1);
         out.clear();
-        let oldest = self.buffer[start].as_slice();
-        out.resize(window_len - (end - start + 1), oldest);
-        out.extend((start..=end).map(|i| self.buffer[i].as_slice()));
+        out.extend(
+            window_indices(engine, self.buffer.len() - 1).map(|i| self.buffer[i].as_slice()),
+        );
     }
 
     fn push_embedding(&mut self, engine: &Engine, embedding: Vec<f32>) -> Vec<Vec<f32>> {
@@ -394,17 +390,9 @@ impl ContinuousAdapter {
     }
 
     /// Rolling window (length = model window) ending at buffer index `end`,
-    /// front-padded by repeating the oldest in-window frame — built
-    /// front-to-back (no `insert(0, …)` shifting).
+    /// front-padded by repeating the oldest in-window frame.
     fn current_window(&self, engine: &Engine, end: usize) -> Vec<Vec<f32>> {
-        let window_len = engine.model.config().window;
-        let start = end.saturating_sub(window_len - 1);
-        let mut out: Vec<Vec<f32>> = Vec::with_capacity(window_len);
-        for _ in (end - start + 1)..window_len {
-            out.push(self.buffer[start].clone());
-        }
-        out.extend((start..=end).map(|i| self.buffer[i].clone()));
-        out
+        window_indices(engine, end).map(|i| self.buffer[i].clone()).collect()
     }
 
     /// Runs one adaptation check immediately: computes `K = |Δm| · N`,
@@ -449,34 +437,17 @@ impl ContinuousAdapter {
         // positive selections otherwise inflate normal scores in lockstep.
         let normals: Vec<usize> = order.iter().rev().copied().take(2 * anomalies.len()).collect();
 
-        // Train against a transient dense scratch fork of the session table:
-        // overlay and dense sessions share one update path (so their results
-        // are bit-identical by construction — clip_grad_norm sees the same
-        // full-capacity gradient layout either way), and overlays never need
-        // a parameter tensor of their own. Plain SGD, deliberately:
-        // scale-free optimizers (Adam family) move noise coordinates exactly
-        // as fast as signal coordinates, so contaminated pseudo-labels would
-        // drift the tokens as strongly as true anomaly signal. With SGD the
-        // update magnitude is proportional to gradient consistency and
-        // selection noise self-cancels. Momentum is zero, so a fresh
-        // optimizer per trigger carries no lost state.
-        let scratch = session.table.fork();
-        let mut optimizer = Sgd::new(vec![scratch.param()], self.cfg.lr);
-
-        let mut logit_rows: Vec<Tensor> = Vec::with_capacity(2 * k);
-        let mut targets: Vec<usize> = Vec::with_capacity(2 * k);
-        let mut windows: Vec<Vec<Vec<f32>>> = Vec::with_capacity(2 * k);
+        let mut windows: Vec<Vec<usize>> = Vec::with_capacity(anomalies.len() + normals.len());
+        let mut targets: Vec<usize> = Vec::with_capacity(windows.capacity());
         for &idx in anomalies.iter().chain(&normals) {
             let Some(buf_idx) = idx.checked_add(offset) else { continue };
             if buf_idx >= self.buffer.len() {
                 continue;
             }
-            let window = self.current_window(engine, buf_idx);
             // pseudo-label: anomalies get the mission class with the highest
             // current conditional probability; normals class 0
-            let is_anomaly = anomalies.contains(&idx);
-            let target = if is_anomaly {
-                let probs = engine.predict_window(session, &window);
+            let target = if anomalies.contains(&idx) {
+                let probs = engine.predict_window(session, &self.current_window(engine, buf_idx));
                 1 + probs[1..]
                     .iter()
                     .enumerate()
@@ -486,44 +457,24 @@ impl ContinuousAdapter {
             } else {
                 0
             };
-            logit_rows.push(engine.window_logits_with_table(session, &scratch, &window));
+            windows.push(window_indices(engine, buf_idx).collect());
             targets.push(target);
-            windows.push(window);
         }
-        if logit_rows.is_empty() {
+        if windows.is_empty() {
             return 0.0;
         }
-        // First pass uses the logits already computed during selection;
-        // later epochs re-run the forward pass against the updated table.
-        let mut last_loss = 0.0;
-        let model_cfg = *engine.model.config();
-        for epoch in 0..self.cfg.epochs_per_trigger.max(1) {
-            let logits = if epoch == 0 {
-                Tensor::concat_rows(&logit_rows)
-            } else {
-                let rows: Vec<Tensor> = windows
-                    .iter()
-                    .map(|w| engine.window_logits_with_table(session, &scratch, w))
-                    .collect();
-                Tensor::concat_rows(&rows)
-            };
-            let loss = decision_loss_smoothed(
-                &logits,
-                &targets,
-                model_cfg.label_smoothing,
-                model_cfg.lambda_spa,
-                model_cfg.lambda_smt,
-            );
-            optimizer.zero_grad();
-            loss.backward();
-            scratch.param().clip_grad_norm(self.cfg.max_grad_norm);
-            optimizer.step();
-            last_loss = loss.item();
+        // Pool the distinct buffer frames the windows read, ascending, and
+        // re-index the windows into the pool: overlapping windows share
+        // their frames' GNN forward.
+        let mut pooled: Vec<usize> = windows.iter().flatten().copied().collect();
+        pooled.sort_unstable();
+        pooled.dedup();
+        for i in windows.iter_mut().flatten() {
+            *i = pooled.binary_search(i).expect("window frame is pooled");
         }
-        // Fold the trained rows back: dense sessions copy the matrix,
-        // overlays materialize exactly the rows whose bits changed.
-        session.table.absorb_scratch(&scratch);
-        last_loss
+        let frames: Vec<&[f32]> = pooled.iter().map(|&i| self.buffer[i].as_slice()).collect();
+        let losses = token_step(engine, session, &frames, &windows, &targets, &self.cfg);
+        losses.last().copied().unwrap_or(0.0)
     }
 
     /// Fig. 4: after a token update, measure each node's embedding movement;
@@ -698,6 +649,81 @@ impl ContinuousAdapter {
         adapter.adapted_node_counter = snapshot.adapted_node_counter;
         adapter
     }
+}
+
+/// Buffer indices of the rolling window (length = model window) ending at
+/// `end`, front-padded by repeating the oldest in-window index.
+fn window_indices(engine: &Engine, end: usize) -> impl Iterator<Item = usize> {
+    let window_len = engine.model.config().window;
+    let start = end.saturating_sub(window_len - 1);
+    std::iter::repeat_n(start, window_len - (end - start + 1)).chain(start..=end)
+}
+
+/// The adaptation step: trains the session's token embeddings for
+/// `cfg.epochs_per_trigger` epochs on pseudo-labelled windows and writes
+/// them back. `frames` is a pool of distinct frame embeddings, each window
+/// lists indices into it (oldest first), and `targets` holds one class per
+/// window (0 = normal). Returns the loss of every epoch, in order.
+///
+/// 1. **Gather.** The rows the session's KGs reference are copied, in
+///    ascending order, into a trainable `[rows, dim]` leaf
+///    ([`TokenTable::gather_kg_rows`](crate::tokenize::TokenTable::gather_kg_rows)).
+/// 2. **Train.** Each epoch is one stacked forward over every window
+///    ([`DecisionModel::window_logits_stacked`](crate::model::DecisionModel::window_logits_stacked)),
+///    the smoothed decision loss, one backward, an L2 clip of the leaf's
+///    gradient to `cfg.max_grad_norm`, and one SGD step at `cfg.lr`.
+/// 3. **Scatter.** Dense tables copy the rows back; overlays materialize
+///    exactly the rows whose bits changed
+///    ([`TokenTable::scatter`](crate::tokenize::TokenTable::scatter)).
+///
+/// Plain SGD, deliberately: scale-free optimizers (Adam family) move noise
+/// coordinates exactly as fast as signal coordinates, so contaminated
+/// pseudo-labels would drift the tokens as strongly as true anomaly signal.
+/// With SGD the update magnitude is proportional to gradient consistency
+/// and selection noise self-cancels. Momentum is zero, so a fresh optimizer
+/// per step carries no lost state, and rows outside the gathered set would
+/// not move anyway.
+///
+/// # Panics
+///
+/// Panics if there is no window, `targets` and `windows` differ in length,
+/// or a window indexes past the frame pool.
+pub fn token_step(
+    engine: &Engine,
+    session: &mut Session,
+    frames: &[&[f32]],
+    windows: &[Vec<usize>],
+    targets: &[usize],
+    cfg: &AdaptConfig,
+) -> Vec<f32> {
+    assert_eq!(windows.len(), targets.len(), "token_step: one target per window");
+    let gathered = session.table.gather_kg_rows(&session.kgs);
+    let mut optimizer = Sgd::new(vec![gathered.param().clone()], cfg.lr);
+    let model_cfg = *engine.model.config();
+    let mut losses = Vec::with_capacity(cfg.epochs_per_trigger.max(1));
+    for _ in 0..cfg.epochs_per_trigger.max(1) {
+        let logits = engine.model.window_logits_stacked(
+            &session.kgs,
+            &session.layouts,
+            &gathered,
+            frames,
+            windows,
+        );
+        let loss = decision_loss_smoothed(
+            &logits,
+            targets,
+            model_cfg.label_smoothing,
+            model_cfg.lambda_spa,
+            model_cfg.lambda_smt,
+        );
+        optimizer.zero_grad();
+        loss.backward();
+        gathered.param().clip_grad_norm(cfg.max_grad_norm);
+        optimizer.step();
+        losses.push(loss.item());
+    }
+    session.table.scatter(&gathered);
+    losses
 }
 
 fn l2(a: &[f32], b: &[f32]) -> f32 {

@@ -401,16 +401,16 @@ impl Engine {
         out
     }
 
-    /// Differentiable logits for one window (training and adaptation run
-    /// through this; gradients reach the session's table fork).
+    /// Differentiable logits for one window (initial training runs through
+    /// this; gradients reach the session's dense table fork).
     pub fn window_logits(&self, session: &Session, window: &[Vec<f32>]) -> akg_tensor::Tensor {
         self.window_logits_with_table(session, &session.table, window)
     }
 
-    /// [`Engine::window_logits`] against an explicit table — adaptation
-    /// trains a transient dense scratch fork through this (the session's own
-    /// table may be a non-differentiable overlay), then absorbs the trained
-    /// rows back.
+    /// [`Engine::window_logits`] against an explicit table: the per-window
+    /// autograd path. Adaptation trains through the stacked
+    /// [`DecisionModel::window_logits_stacked`] instead, whose forward is
+    /// bit-identical to this one per window.
     pub fn window_logits_with_table(
         &self,
         session: &Session,

@@ -48,19 +48,19 @@ pub mod retrieval;
 pub mod tokenize;
 pub mod train;
 
-pub use adapt::{AdaptConfig, AdaptEvent, ContinuousAdapter};
+pub use adapt::{token_step, AdaptConfig, AdaptEvent, ContinuousAdapter};
 pub use config::{ModelConfig, TrainConfig};
 pub use engine::{CowVec, Engine, Session};
 pub use experiment::{
     run_retrieval_drift, run_trend_shift, RetrievalDriftParams, RetrievalDriftResult,
     TrendShiftCurve, TrendShiftParams, TrendShiftResult,
 };
-pub use model::{DecisionModel, HierarchicalGnn, KgLayout, WindowBatchItem};
+pub use model::{DecisionModel, HierarchicalGnn, KgLayout};
 pub use persist::{
     checkpoint_session, load_state, load_state_json, restore_session, save_state, save_state_json,
     SessionCheckpoint, SystemState,
 };
 pub use pipeline::{MissionSystem, SystemConfig};
 pub use retrieval::{InterpretableRetrieval, RetrievedWord};
-pub use tokenize::{TokenTable, TokenizedKg};
+pub use tokenize::{GatheredRows, TokenTable, TokenizedKg};
 pub use train::{train_decision_model, TrainReport};

@@ -4,7 +4,7 @@
 //! (Eq. 5).
 
 use crate::config::ModelConfig;
-use crate::tokenize::{TokenTable, TokenizedKg};
+use crate::tokenize::{GatheredRows, TokenTable, TokenizedKg};
 use akg_kg::{NodeId, NodeKind};
 use akg_tensor::inference as inf;
 use akg_tensor::nn::attention::TransformerEncoder;
@@ -263,8 +263,9 @@ impl HierarchicalGnn {
     /// agree — always true for sessions of one engine, since structural
     /// adaptation replaces nodes one-for-one.
     ///
-    /// This is an inference path: the result is detached from the autograd
-    /// graph (adaptation gradients flow through the single-window path).
+    /// Fully differentiable: the adaptation step
+    /// ([`DecisionModel::window_logits_stacked`]) trains through it. Its
+    /// gradients equal the per-replica forward's up to summation order.
     ///
     /// # Panics
     ///
@@ -696,153 +697,90 @@ impl DecisionModel {
         1.0 - self.predict(kgs, layouts, table, frame_window)[0]
     }
 
-    // ----------------------------------------------------------------
-    // Batched serving path: B windows through one forward per GNN layer
-    // ----------------------------------------------------------------
-
-    /// Stacked node features for `frames.len()` replicas of one KG:
-    /// `[F·|V|, embed_dim]`, replica `t` in rows `t·|V| .. (t+1)·|V|`. Row
-    /// values are computed with the same arithmetic as
-    /// [`DecisionModel::node_features`] (the reasoning rows via the ordered
-    /// token-mean of [`TokenTable::node_embedding_mean`]), so the stacked
-    /// matrix is the bit-exact concatenation of the per-frame matrices.
+    /// Differentiable decision logits `[windows.len(), n + 1]` for many
+    /// windows of one stream at once — the adaptation step's forward.
+    ///
+    /// `frames` is a pool of distinct frame embeddings and each window lists
+    /// indices into it, oldest first, so frames shared by overlapping
+    /// windows run through the GNNs once. Reasoning-node features come from
+    /// the trainable `rows` leaf, so gradients reach exactly the gathered
+    /// table rows. Per mission KG, `x0` is one row gather over `[node rows;
+    /// frame rows]` (a pure copy) and the GNN is one stacked
+    /// [`HierarchicalGnn::forward_batch`] over every pooled frame; each
+    /// window's `[window, D]` sequence is then gathered by index for the
+    /// temporal model, and one head matmul covers all windows.
+    ///
+    /// Forward values are bit-identical per window to
+    /// [`DecisionModel::reasoning_embedding`] →
+    /// [`DecisionModel::temporal_embedding`] → [`DecisionModel::logits`]
+    /// against a dense table holding the same rows (the batched ≡ single
+    /// contract of `forward_batch` and the row-independent matmul).
+    /// Gradients are equal up to summation order.
     ///
     /// # Panics
     ///
-    /// Panics if `frames` is empty or a layout row refers to a dead node.
-    pub fn node_features_batch(
+    /// Panics if `frames` or `windows` is empty, a window is empty or
+    /// indexes past the pool, KG/layout counts mismatch the model, or a
+    /// reasoning node references a row `rows` did not gather.
+    pub fn window_logits_stacked(
         &self,
-        tkg: &TokenizedKg,
-        layout: &KgLayout,
-        table: &TokenTable,
+        kgs: &[TokenizedKg],
+        layouts: &[KgLayout],
+        rows: &GatheredRows,
         frames: &[&[f32]],
+        windows: &[Vec<usize>],
     ) -> Tensor {
-        assert!(!frames.is_empty(), "node_features_batch: no frames");
+        assert_eq!(kgs.len(), self.gnns.len(), "KG count mismatch");
+        assert_eq!(layouts.len(), self.gnns.len(), "layout count mismatch");
+        assert!(!frames.is_empty(), "window_logits_stacked: no frames");
+        assert!(!windows.is_empty(), "window_logits_stacked: no windows");
         let dim = self.config.embed_dim;
-        let v = layout.node_count();
-        let mut data = vec![0.0f32; frames.len() * v * dim];
-        // Non-sensor rows are frame-independent: compute each once, then
-        // copy into every replica (`None` marks the sensor row, which takes
-        // the replica's frame embedding).
-        let template: Vec<Option<Vec<f32>>> = layout
-            .rows
-            .iter()
-            .map(|&id| {
+        let f = frames.len();
+        let frame_rows = Tensor::from_vec(frames.concat(), &[f, dim]);
+        let mut per_kg: Vec<Tensor> = Vec::with_capacity(self.gnns.len());
+        for ((gnn, tkg), layout) in self.gnns.iter().zip(kgs).zip(layouts) {
+            // Pool `[node rows; frame rows]`: the node rows in layout order
+            // (the sensor's is a zero placeholder no replica reads), then
+            // every pooled frame.
+            let v = layout.node_count();
+            let mut pool: Vec<Tensor> = Vec::with_capacity(v + 1);
+            let mut sensor_rows: Vec<usize> = Vec::new();
+            for (r, &id) in layout.rows.iter().enumerate() {
                 let node = tkg.kg.node(id).expect("layout row refers to live node");
-                match node.kind {
-                    NodeKind::Sensor => None,
-                    NodeKind::Embedding => Some(tkg.mission_embedding.clone()),
-                    NodeKind::Reasoning => {
-                        let tokens = tkg.tokens_of(id).expect("reasoning node tokenized");
-                        Some(table.node_embedding_mean(tokens))
+                pool.push(match node.kind {
+                    NodeKind::Sensor => {
+                        sensor_rows.push(r);
+                        Tensor::zeros(&[1, dim])
                     }
-                }
+                    NodeKind::Embedding => {
+                        Tensor::from_vec(tkg.mission_embedding.clone(), &[1, dim])
+                    }
+                    NodeKind::Reasoning => {
+                        rows.node_embedding(tkg.tokens_of(id).expect("reasoning node tokenized"))
+                    }
+                });
+            }
+            pool.push(frame_rows.clone());
+            let pool = Tensor::concat_rows(&pool);
+            // Replica `t` reads the node rows, with its frame in the sensor
+            // slot.
+            let mut gather: Vec<usize> = Vec::with_capacity(f * v);
+            for t in 0..f {
+                gather.extend((0..v).map(|r| if sensor_rows.contains(&r) { v + t } else { r }));
+            }
+            let x0 = pool.index_select_rows(&gather);
+            per_kg.push(gnn.forward_batch(&vec![layout; f], &x0));
+        }
+        let joined = Tensor::concat_cols(&per_kg); // [f, D]
+        let d = self.reasoning_dim();
+        let temporal: Vec<Tensor> = windows
+            .iter()
+            .map(|w| {
+                assert!(!w.is_empty(), "window_logits_stacked: empty window");
+                self.temporal.forward_last(&joined.index_select_rows(w)).reshape(&[1, d])
             })
             .collect();
-        for (t, frame) in frames.iter().enumerate() {
-            assert_eq!(frame.len(), dim, "node_features_batch: frame dim mismatch");
-            let block = &mut data[t * v * dim..(t + 1) * v * dim];
-            for (r, row) in template.iter().enumerate() {
-                let out = &mut block[r * dim..(r + 1) * dim];
-                out.copy_from_slice(row.as_deref().unwrap_or(frame));
-            }
-        }
-        Tensor::from_vec(data, &[frames.len() * v, dim])
-    }
-
-    /// Per-item reasoning-embedding sequences for a cross-stream batch: each
-    /// returned tensor is the item's `[window, D]` sequence of per-frame
-    /// reasoning embeddings, computed with **one** stacked
-    /// [`HierarchicalGnn::forward_batch`] per mission KG across all items
-    /// and frames (one matmul per GNN layer instead of `B·window`).
-    ///
-    /// Bit-identical per item to mapping
-    /// [`DecisionModel::reasoning_embedding`] over its frames.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` is empty, an item's KG/layout counts mismatch the
-    /// model, or an item's window is empty.
-    pub fn reasoning_embeddings_batch(&self, items: &[WindowBatchItem<'_>]) -> Vec<Tensor> {
-        assert!(!items.is_empty(), "reasoning_embeddings_batch: empty batch");
-        for item in items {
-            assert_eq!(item.kgs.len(), self.gnns.len(), "KG count mismatch");
-            assert_eq!(item.layouts.len(), self.gnns.len(), "layout count mismatch");
-            assert!(!item.window.is_empty(), "reasoning_embeddings_batch: empty window");
-        }
-        let mut per_kg: Vec<Tensor> = Vec::with_capacity(self.gnns.len());
-        for i in 0..self.gnns.len() {
-            let mut parts: Vec<Tensor> = Vec::with_capacity(items.len());
-            let mut layout_refs: Vec<&KgLayout> = Vec::new();
-            for item in items {
-                let frames: Vec<&[f32]> = item.window.iter().map(Vec::as_slice).collect();
-                parts.push(self.node_features_batch(
-                    &item.kgs[i],
-                    &item.layouts[i],
-                    item.table,
-                    &frames,
-                ));
-                layout_refs.extend(std::iter::repeat_n(&item.layouts[i], item.window.len()));
-            }
-            let x0 = Tensor::concat_rows(&parts);
-            per_kg.push(self.gnns[i].forward_batch(&layout_refs, &x0));
-        }
-        let joined = Tensor::concat_cols(&per_kg); // [Σ windows, D]
-        let mut out = Vec::with_capacity(items.len());
-        let mut offset = 0usize;
-        for item in items {
-            out.push(joined.slice_rows(offset, offset + item.window.len()));
-            offset += item.window.len();
-        }
-        out
-    }
-
-    /// Stacks per-item temporal embeddings into `[B, D]`: applies the
-    /// temporal model to each `[window, D]` sequence (attention stays
-    /// per-sequence — frames of different streams must never attend to each
-    /// other) and concatenates the last-frame outputs row-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seqs` is empty.
-    pub fn temporal_embedding_batch(&self, seqs: &[Tensor]) -> Tensor {
-        assert!(!seqs.is_empty(), "temporal_embedding_batch: empty batch");
-        let d = self.reasoning_dim();
-        let rows: Vec<Tensor> =
-            seqs.iter().map(|s| self.temporal.forward_last(s).reshape(&[1, d])).collect();
-        Tensor::concat_rows(&rows)
-    }
-
-    /// Decision logits `[B, n + 1]` for a `[B, D]` stack of temporal
-    /// embeddings — one head matmul for the whole batch. Each row is
-    /// bit-identical to [`DecisionModel::logits`] on that row alone (row
-    /// results of the matmul kernels are independent of the other rows).
-    pub fn logits_batch(&self, temporal_embeddings: &Tensor) -> Tensor {
-        self.head.forward(temporal_embeddings)
-    }
-
-    /// Batched full forward: per-item class probabilities for the last frame
-    /// of each window. Bit-identical per item to [`DecisionModel::predict`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` is empty or shapes mismatch the model.
-    pub fn predict_batch(&self, items: &[WindowBatchItem<'_>]) -> Vec<Vec<f32>> {
-        let seqs = self.reasoning_embeddings_batch(items);
-        let temporal = self.temporal_embedding_batch(&seqs);
-        let probs = self.logits_batch(&temporal).softmax_rows().to_vec();
-        let c = self.n_classes();
-        probs.chunks(c).map(<[f32]>::to_vec).collect()
-    }
-
-    /// Batched anomaly scores `p_A = 1 − p_N`, one per item. Bit-identical
-    /// per item to [`DecisionModel::anomaly_score`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` is empty or shapes mismatch the model.
-    pub fn anomaly_scores_batch(&self, items: &[WindowBatchItem<'_>]) -> Vec<f32> {
-        self.predict_batch(items).iter().map(|p| 1.0 - p[0]).collect()
+        self.head.forward(&Tensor::concat_rows(&temporal))
     }
 
     // ----------------------------------------------------------------
@@ -852,9 +790,9 @@ impl DecisionModel {
     // the equivalence oracle (tests/infer_equivalence.rs).
     // ----------------------------------------------------------------
 
-    /// Inference-plane form of [`DecisionModel::node_features_batch`]:
-    /// stacked `[F·|V|, embed_dim]` node features for `frames.len()`
-    /// replicas of one KG, written into `out`. Frame-independent rows are
+    /// Inference-plane stacked node features: `[F·|V|, embed_dim]` for
+    /// `frames.len()` replicas of one KG (replica `t` in rows
+    /// `t·|V| .. (t+1)·|V|`), written into `out`. Frame-independent rows are
     /// computed once into a workspace-leased template (reasoning rows via
     /// [`TokenTable::node_embedding_mean_into`] — the same arithmetic as the
     /// autograd path) and copied per replica.
@@ -904,11 +842,11 @@ impl DecisionModel {
 
     /// Inference-plane batched full forward: class probabilities for the
     /// last frame of each item's window, flattened `[B · (n + 1)]` into
-    /// `out` (cleared first). Mirrors [`DecisionModel::predict_batch`]
+    /// `out` (cleared first). Mirrors [`DecisionModel::window_logits_stacked`]
     /// stage-for-stage — stacked GNN forward per mission KG, per-sequence
-    /// temporal model, one head matmul, fused row softmax — and is
-    /// **bit-identical per backend** to it (and therefore, via the PR 3
-    /// batched-equals-single contract, to [`DecisionModel::predict`]).
+    /// temporal model, one head matmul — then a fused row softmax, and is
+    /// **bit-identical per backend** to it plus `softmax_rows` (and so, by
+    /// the batched-equals-single contract, to [`DecisionModel::predict`]).
     ///
     /// # Panics
     ///
@@ -974,7 +912,7 @@ impl DecisionModel {
             row0 += w;
         }
         // Head + softmax: one matmul over the whole batch, fused row
-        // softmax (scale 1, no mask) — exactly `logits_batch` +
+        // softmax (scale 1, no mask) — exactly the autograd head matmul +
         // `softmax_rows`.
         let c = self.n_classes();
         let mut logits = ws.lease(b * c);
@@ -990,7 +928,7 @@ impl DecisionModel {
     /// Inference-plane batched anomaly scores `p_A = 1 − p_N` into `out`
     /// (cleared first), one per item — the serving entry point behind
     /// `Engine::score_windows_batch`. Bit-identical per backend to
-    /// [`DecisionModel::anomaly_scores_batch`].
+    /// `1 − softmax(logits)[0]` of [`DecisionModel::window_logits_stacked`].
     ///
     /// # Panics
     ///
@@ -1054,10 +992,10 @@ impl DecisionModel {
     }
 }
 
-/// One window of a cross-stream *inference-plane* serving batch: the same
-/// adaptive state as [`WindowBatchItem`], but with the window as borrowed
-/// frame slices so callers (rolling windows, pre-pad paths) never clone
-/// embedding buffers just to score them.
+/// One window of a cross-stream *inference-plane* serving batch: the
+/// stream's adaptive state (its KGs, layouts, and token table — typically a
+/// session's) plus the window as borrowed frame slices, so callers (rolling
+/// windows, pre-pad paths) never clone embedding buffers just to score them.
 #[derive(Debug, Clone, Copy)]
 pub struct InferWindowItem<'a> {
     /// The stream's tokenized mission KGs.
@@ -1068,21 +1006,6 @@ pub struct InferWindowItem<'a> {
     pub table: &'a TokenTable,
     /// The window of frame embeddings, oldest first.
     pub window: &'a [&'a [f32]],
-}
-
-/// One window of a cross-stream serving batch: the stream's adaptive state
-/// (its KGs, layouts, and token table — typically a session's) plus the
-/// window of frame embeddings to score.
-#[derive(Debug, Clone, Copy)]
-pub struct WindowBatchItem<'a> {
-    /// The stream's tokenized mission KGs.
-    pub kgs: &'a [TokenizedKg],
-    /// The stream's execution layouts (aligned with `kgs`).
-    pub layouts: &'a [KgLayout],
-    /// The stream's token-embedding table.
-    pub table: &'a TokenTable,
-    /// The window of frame embeddings, oldest first.
-    pub window: &'a [Vec<f32>],
 }
 
 impl Module for DecisionModel {

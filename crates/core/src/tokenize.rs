@@ -7,13 +7,15 @@
 //! would invalidate optimizer state).
 //!
 //! A table comes in two storage flavours behind one type: **dense** (a full
-//! trainable [`Embedding`] — the engine template, single-tenant systems, and
-//! the transient adaptation scratch) and **overlay** (a sparse copy-on-write
+//! trainable [`Embedding`] — the engine template and single-tenant systems)
+//! and **overlay** (a sparse copy-on-write
 //! map of adapted rows over a shared `Arc`'d base — the per-session form,
 //! whose resident size is proportional to the rows adaptation actually
 //! touched, not the vocabulary). Every read path resolves base-or-overlay per
 //! row with arithmetic bit-identical to the dense path, which is what lets
 //! the overlay ≡ dense-fork equivalence contract hold bit-for-bit.
+//! Adaptation trains neither form directly: it gathers the rows the KGs use
+//! into a small trainable leaf ([`GatheredRows`]) and scatters them back.
 
 use akg_embed::{BpeTokenizer, JointSpace};
 use akg_kg::{KnowledgeGraph, NodeId, NodeKind};
@@ -68,8 +70,7 @@ impl TokenTable {
     /// Deep-copies the table into an independent *dense* twin: fresh tensor
     /// storage (no shared autograd state with `self`), same resolved weights,
     /// same spare-row cursor. Works from either storage flavour — forking an
-    /// overlay densifies it. This is also how adaptation obtains its
-    /// transient trainable scratch.
+    /// overlay densifies it.
     pub fn fork(&self) -> TokenTable {
         let weights = self.to_dense_vec();
         TokenTable {
@@ -229,8 +230,8 @@ impl TokenTable {
     /// Differentiable mean embedding of the given rows, shape `[1, dim]`.
     ///
     /// On an overlay table the result is a *constant* tensor (gradients never
-    /// flow into an overlay — adaptation trains against a dense scratch fork
-    /// and absorbs the result), built with the same summed-in-order,
+    /// flow into an overlay — adaptation trains a [`GatheredRows`] leaf and
+    /// scatters the result back), built with the same summed-in-order,
     /// reciprocal-scaled arithmetic so forward values stay bit-identical to
     /// the dense path.
     pub fn node_embedding(&self, rows: &[usize]) -> Tensor {
@@ -286,8 +287,8 @@ impl TokenTable {
     ///
     /// # Panics
     ///
-    /// Panics on an overlay table — overlays have no parameter tensor; fork
-    /// a dense scratch with [`TokenTable::fork`] to train against.
+    /// Panics on an overlay table — overlays have no parameter tensor; train
+    /// a [`TokenTable::gather_kg_rows`] leaf instead.
     pub fn param(&self) -> Tensor {
         match &self.storage {
             Storage::Dense(emb) => emb.weight().clone(),
@@ -342,26 +343,55 @@ impl TokenTable {
         }
     }
 
-    /// Folds a trained dense `scratch` fork back into this table. Dense
-    /// tables copy the whole weight matrix; overlays materialize exactly the
-    /// rows whose bits differ from the base (and refresh rows already
-    /// materialized), so an absorbed overlay resolves bit-identically to the
-    /// scratch while staying sparse.
+    /// Gathers every table row the reasoning nodes of `kgs` reference —
+    /// deduplicated, ascending — into a fresh trainable leaf (see
+    /// [`GatheredRows`]). Works from either storage flavour; the leaf shares
+    /// no autograd state with the table.
+    pub fn gather_kg_rows(&self, kgs: &[TokenizedKg]) -> GatheredRows {
+        let mut rows: Vec<usize> =
+            kgs.iter().flat_map(|tkg| tkg.node_tokens.values().flatten().copied()).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let dim = self.dim;
+        let mut values = vec![0.0f32; rows.len() * dim];
+        for (out, &r) in values.chunks_exact_mut(dim).zip(&rows) {
+            match &self.storage {
+                Storage::Dense(emb) => {
+                    emb.weight().with_data(|w| out.copy_from_slice(&w[r * dim..(r + 1) * dim]));
+                }
+                Storage::Overlay { base, rows: adapted } => {
+                    out.copy_from_slice(resolve_row(base, adapted, dim, r));
+                }
+            }
+        }
+        let param = Tensor::from_vec(values, &[rows.len(), dim]).requires_grad(true);
+        GatheredRows { rows, param }
+    }
+
+    /// Writes trained [`GatheredRows`] back. Dense tables copy the rows;
+    /// overlays refresh rows already materialized and materialize exactly
+    /// the other rows whose bits now differ from the base, so the overlay
+    /// stays sparse. Rows outside the gathered set are never touched.
     ///
     /// # Panics
     ///
-    /// Panics if `scratch` is not dense or its geometry differs.
-    pub fn absorb_scratch(&mut self, scratch: &TokenTable) {
-        assert!(!scratch.is_overlay(), "absorb_scratch: scratch must be dense");
-        assert_eq!(scratch.capacity, self.capacity, "absorb_scratch: capacity mismatch");
-        assert_eq!(scratch.dim, self.dim, "absorb_scratch: dim mismatch");
-        let values = scratch.to_dense_vec();
+    /// Panics if a gathered row is out of bounds or the leaf is not
+    /// `[rows, dim]`.
+    pub fn scatter(&mut self, gathered: &GatheredRows) {
         let dim = self.dim;
-        match &mut self.storage {
-            Storage::Dense(emb) => emb.weight().set_data(&values),
+        assert_eq!(
+            gathered.param.shape(),
+            vec![gathered.rows.len(), dim],
+            "scatter: gathered leaf is not [rows, dim]"
+        );
+        gathered.param.with_data(|values| match &mut self.storage {
+            Storage::Dense(emb) => emb.weight().update_data(|w| {
+                for (fresh, &r) in values.chunks_exact(dim).zip(&gathered.rows) {
+                    w[r * dim..(r + 1) * dim].copy_from_slice(fresh);
+                }
+            }),
             Storage::Overlay { base, rows } => {
-                for r in 0..self.capacity {
-                    let fresh = &values[r * dim..(r + 1) * dim];
+                for (fresh, &r) in values.chunks_exact(dim).zip(&gathered.rows) {
                     if let Some(existing) = rows.get_mut(&r) {
                         existing.copy_from_slice(fresh);
                     } else {
@@ -372,8 +402,7 @@ impl TokenTable {
                     }
                 }
             }
-        }
-        self.next_spare = scratch.next_spare;
+        });
     }
 
     /// The overlay's materialized rows as a sorted `(row, values)` delta —
@@ -437,6 +466,49 @@ fn resolve_row<'a>(
     match rows.get(&r) {
         Some(v) => v,
         None => &base[r * dim..(r + 1) * dim],
+    }
+}
+
+/// A subset of a [`TokenTable`]'s rows, ascending, held as one trainable
+/// `[rows, dim]` leaf — what continuous adaptation trains instead of the
+/// full table. Built by [`TokenTable::gather_kg_rows`] and written back by
+/// [`TokenTable::scatter`].
+///
+/// The optimizer uses plain SGD (zero momentum, no weight decay), so rows
+/// outside the set would receive a zero gradient and stay unchanged anyway;
+/// and the gradient norm over the gathered rows in ascending order sums the
+/// same non-zero terms as the norm over the full table.
+#[derive(Debug)]
+pub struct GatheredRows {
+    rows: Vec<usize>,
+    param: Tensor,
+}
+
+impl GatheredRows {
+    /// The gathered table rows, ascending.
+    pub fn rows(&self) -> &[usize] {
+        &self.rows
+    }
+
+    /// The trainable `[rows, dim]` leaf.
+    pub fn param(&self) -> &Tensor {
+        &self.param
+    }
+
+    /// Differentiable mean embedding of the given *table* rows, shape
+    /// `[1, dim]` — the same gather-then-mean arithmetic as
+    /// [`TokenTable::node_embedding`] on a dense table, so forward values
+    /// are bit-identical to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table_rows` is empty or names a row that was not gathered.
+    pub fn node_embedding(&self, table_rows: &[usize]) -> Tensor {
+        let local: Vec<usize> = table_rows
+            .iter()
+            .map(|r| self.rows.binary_search(r).expect("GatheredRows: row was not gathered"))
+            .collect();
+        self.param.mean_rows(&local)
     }
 }
 
@@ -618,24 +690,35 @@ mod tests {
     }
 
     #[test]
-    fn absorb_scratch_materializes_only_changed_rows() {
-        let (tok, space, _) = fixture();
+    fn scatter_materializes_only_changed_rows() {
+        let (tok, space, kg) = fixture();
         let dense = TokenTable::new(&tok, &space, 2);
         let base = Arc::new(dense.to_dense_vec());
         let mut overlay = dense.fork_overlay(&base);
-        let scratch = overlay.fork();
-        let dim = scratch.dim();
-        scratch.param().update_data(|d| {
-            for v in &mut d[3 * dim..4 * dim] {
+        let tkg = TokenizedKg::new(kg, &tok, space.embed_text("stealing"));
+        let gathered = overlay.gather_kg_rows(std::slice::from_ref(&tkg));
+        let rows = gathered.rows().to_vec();
+        assert!(rows.windows(2).all(|w| w[0] < w[1]), "gathered rows not ascending");
+        let dim = overlay.dim();
+        // Move one gathered row; the rest go back with their original bits.
+        gathered.param().update_data(|d| {
+            for v in &mut d[dim..2 * dim] {
                 *v += 1.0;
             }
         });
-        overlay.absorb_scratch(&scratch);
+        overlay.scatter(&gathered);
         assert_eq!(overlay.overlay_rows(), 1);
-        assert_eq!(overlay.to_dense_vec(), scratch.to_dense_vec());
         let delta = overlay.overlay_delta();
-        assert_eq!(delta.len(), 1);
-        assert_eq!(delta[0].0, 3);
+        assert_eq!(delta[0].0, rows[1]);
+        let mut expected = dense.to_dense_vec();
+        for v in &mut expected[rows[1] * dim..(rows[1] + 1) * dim] {
+            *v += 1.0;
+        }
+        assert_eq!(overlay.to_dense_vec(), expected);
+        // A dense table receives the same rows.
+        let mut dense_twin = dense.fork();
+        dense_twin.scatter(&gathered);
+        assert_eq!(dense_twin.to_dense_vec(), expected);
         let mut restored = dense.fork_overlay(&base);
         restored.apply_overlay_delta(&delta);
         assert_eq!(restored.to_dense_vec(), overlay.to_dense_vec());

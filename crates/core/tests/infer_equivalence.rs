@@ -2,8 +2,9 @@
 //! inference plane (`DecisionModel::*_infer`, raw slices + workspace
 //! buffers, what `Engine::score_window` / `score_windows_batch` serve
 //! through) must be **bit-identical** to the autograd plane
-//! (`DecisionModel::predict` / `anomaly_scores_batch`, the training and
-//! adaptation path) — per backend, at every batch size.
+//! (`DecisionModel::predict`, the training path, and
+//! `DecisionModel::window_logits_stacked`, the adaptation step's batched
+//! forward) — per backend, at every batch size.
 //!
 //! Tests here flip the process-wide compute backend, so they follow the
 //! `BACKEND_LOCK` discipline of `tensor/tests/proptest_kernels.rs`: every
@@ -11,7 +12,6 @@
 //! and the backend is restored before releasing it.
 
 use akg_core::engine::{Engine, Session};
-use akg_core::model::WindowBatchItem;
 use akg_core::pipeline::SystemConfig;
 use akg_kg::AnomalyClass;
 use akg_tensor::backend::{backend, set_backend, Backend};
@@ -69,18 +69,31 @@ fn autograd_score(engine: &Engine, session: &Session, window: &[Vec<f32>]) -> f3
     engine.model.anomaly_score(&kgs, &layouts, &session.table, window)
 }
 
-/// The autograd plane's batched scores.
+/// The autograd plane's batched scores for one session: one stacked forward
+/// over a pool of frames, each window an index list into the pool.
+fn autograd_scores_stacked(
+    engine: &Engine,
+    session: &Session,
+    frames: &[&[f32]],
+    windows: &[Vec<usize>],
+) -> Vec<f32> {
+    let rows = session.table.gather_kg_rows(&session.kgs);
+    let logits =
+        engine.model.window_logits_stacked(&session.kgs, &session.layouts, &rows, frames, windows);
+    let c = engine.model.n_classes();
+    logits.softmax_rows().to_vec().chunks(c).map(|p| 1.0 - p[0]).collect()
+}
+
+/// The autograd plane's scores for a cross-stream batch: one stacked
+/// forward per item.
 fn autograd_scores_batch(engine: &Engine, batch: &[(&Session, &[Vec<f32>])]) -> Vec<f32> {
-    let items: Vec<WindowBatchItem<'_>> = batch
+    batch
         .iter()
-        .map(|(session, window)| WindowBatchItem {
-            kgs: &session.kgs,
-            layouts: &session.layouts,
-            table: &session.table,
-            window,
+        .flat_map(|(session, window)| {
+            let frames: Vec<&[f32]> = window.iter().map(Vec::as_slice).collect();
+            autograd_scores_stacked(engine, session, &frames, &[(0..frames.len()).collect()])
         })
-        .collect();
-    engine.model.anomaly_scores_batch(&items)
+        .collect()
 }
 
 #[test]
@@ -117,6 +130,39 @@ fn inference_plane_matches_autograd_plane_bitwise_at_batch_1_4_16() {
                     );
                 }
             }
+        });
+    }
+}
+
+/// Many overlapping windows of one stream through one stacked forward —
+/// the shape of an adaptation step: shared frames, front-padded windows.
+#[test]
+fn stacked_windows_over_a_shared_frame_pool_match_inference_bitwise() {
+    let _guard = lock_backend();
+    for b in BACKENDS {
+        with_backend(b, || {
+            let engine = build_engine(b);
+            let session = engine.new_session(17);
+            let w = engine.config().window;
+            let pool: Vec<Vec<f32>> = (0..2).flat_map(|s| make_window(&engine, s)).collect();
+            let frames: Vec<&[f32]> = pool.iter().map(Vec::as_slice).collect();
+            // Rolling windows ending at every pool frame, front-padded by
+            // repeating the oldest frame while the pool is shorter than one.
+            let windows: Vec<Vec<usize>> = (0..pool.len())
+                .map(|end| {
+                    let start = end.saturating_sub(w - 1);
+                    std::iter::repeat_n(start, w - (end - start + 1)).chain(start..=end).collect()
+                })
+                .collect();
+            let owned: Vec<Vec<Vec<f32>>> =
+                windows.iter().map(|ix| ix.iter().map(|&i| pool[i].clone()).collect()).collect();
+            let batch: Vec<(&Session, &[Vec<f32>])> =
+                owned.iter().map(|win| (&session, win.as_slice())).collect();
+            assert_eq!(
+                autograd_scores_stacked(&engine, &session, &frames, &windows),
+                engine.score_windows_batch(&batch),
+                "stacked autograd forward diverged from inference under {b:?}"
+            );
         });
     }
 }

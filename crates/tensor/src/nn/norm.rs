@@ -112,19 +112,22 @@ impl BatchNorm1d {
         centered.mul_bias(&inv_std).mul_bias(&self.gamma).add_bias(&self.beta)
     }
 
-    /// Grouped instance normalization for batched serving: the input is
-    /// `groups` independent row-blocks of equal height stacked into one
-    /// `[groups * rows, features]` matrix (e.g. one KG's node rows replicated
-    /// per frame of a serving batch), and each block is normalized with *its
-    /// own* batch statistics.
+    /// Grouped instance normalization: the input is `groups` independent
+    /// row-blocks of equal height stacked into one `[groups * rows,
+    /// features]` matrix (e.g. one KG's node rows replicated per frame of a
+    /// batch), and each block is normalized with *its own* batch statistics.
     ///
-    /// Bit-identical per block to calling [`BatchNorm1d::forward_instance`]
-    /// on that block alone: the mean, variance, and normalization are
-    /// evaluated with the same operations in the same accumulation order
-    /// (rows ascending, `sum * (1/m)`, `1 / sqrt(var + eps)`), so a batched
-    /// forward produces exactly the per-stream numbers the unbatched path
-    /// produces. The result is a detached tensor — this is an inference path
-    /// and records no gradients.
+    /// The forward is bit-identical per block to calling
+    /// [`BatchNorm1d::forward_instance`] on that block alone: the mean,
+    /// variance, and normalization are evaluated with the same operations in
+    /// the same accumulation order (rows ascending, `sum * (1/m)`,
+    /// `1 / sqrt(var + eps)`), so a batched forward produces exactly the
+    /// per-block numbers the unbatched path produces.
+    ///
+    /// Fully differentiable, as one graph node: the backward is the analytic
+    /// batch-norm gradient per block. It agrees with the gradient of the
+    /// composed per-block chain to rounding, not bitwise — the two sum the
+    /// same terms in a different order.
     ///
     /// # Panics
     ///
@@ -144,25 +147,88 @@ impl BatchNorm1d {
         let m = s[0] / groups;
         assert!(m > 1, "BatchNorm1d: training-mode batch must have >1 rows");
         let n = self.features;
+        let block = m * n;
         let mut out = vec![0.0f32; x.numel()];
         let mut mean = vec![0.0f32; n];
         let mut var = vec![0.0f32; n];
-        let mut inv_std = vec![0.0f32; n];
+        // Per-block inverse standard deviations, kept for the backward.
+        let mut inv_stds = vec![0.0f32; groups * n];
+        let tracked = x.is_tracked() || self.gamma.is_tracked() || self.beta.is_tracked();
+        // Normalized activations x̂ (pre-gamma/beta), captured for backward.
+        let mut xhat = vec![0.0f32; if tracked { x.numel() } else { 0 }];
         x.with_data(|a| {
-            self.forward_instance_grouped_raw(
-                a,
-                groups,
-                &mut out,
-                &mut mean,
-                &mut var,
-                &mut inv_std,
-            )
+            for g in 0..groups {
+                let inv_std = &mut inv_stds[g * n..(g + 1) * n];
+                // One block through the shared body is exactly that block's
+                // iteration of the grouped loop.
+                self.forward_instance_grouped_raw(
+                    &a[g * block..(g + 1) * block],
+                    1,
+                    &mut out[g * block..(g + 1) * block],
+                    &mut mean,
+                    &mut var,
+                    inv_std,
+                );
+                if tracked {
+                    for (i, (xh, xv)) in xhat[g * block..(g + 1) * block]
+                        .iter_mut()
+                        .zip(&a[g * block..(g + 1) * block])
+                        .enumerate()
+                    {
+                        let c = i % n;
+                        *xh = (xv - mean[c]) * inv_std[c];
+                    }
+                }
+            }
         });
-        Tensor::from_vec(out, &s)
+        let gamma = self.gamma.to_vec();
+        let inv_m = 1.0 / m as f32;
+        Tensor::from_op(
+            out,
+            &s,
+            vec![x.clone(), self.gamma.clone(), self.beta.clone()],
+            Box::new(move |grad| {
+                let mut dx = vec![0.0f32; groups * block];
+                let mut dgamma = vec![0.0f32; n];
+                let mut dbeta = vec![0.0f32; n];
+                let mut mean_dh = vec![0.0f32; n];
+                let mut mean_dh_xhat = vec![0.0f32; n];
+                for g in 0..groups {
+                    // dh = dL/dx̂ = grad · gamma; its column means and its
+                    // x̂-weighted column means are the mean-subtraction and
+                    // variance terms of the batch-norm Jacobian.
+                    mean_dh.fill(0.0);
+                    mean_dh_xhat.fill(0.0);
+                    for r in g * m..(g + 1) * m {
+                        let (gr, xr) = (&grad[r * n..(r + 1) * n], &xhat[r * n..(r + 1) * n]);
+                        for c in 0..n {
+                            let dh = gr[c] * gamma[c];
+                            mean_dh[c] += dh;
+                            mean_dh_xhat[c] += dh * xr[c];
+                            dgamma[c] += gr[c] * xr[c];
+                            dbeta[c] += gr[c];
+                        }
+                    }
+                    for c in 0..n {
+                        mean_dh[c] *= inv_m;
+                        mean_dh_xhat[c] *= inv_m;
+                    }
+                    let inv_std = &inv_stds[g * n..(g + 1) * n];
+                    for r in g * m..(g + 1) * m {
+                        for c in 0..n {
+                            let i = r * n + c;
+                            let dh = grad[i] * gamma[c];
+                            dx[i] = inv_std[c] * (dh - mean_dh[c] - xhat[i] * mean_dh_xhat[c]);
+                        }
+                    }
+                }
+                vec![dx, dgamma, dbeta]
+            }),
+        )
     }
 
     /// Inference-plane grouped instance normalization: the shared raw body
-    /// behind [`BatchNorm1d::forward_instance_grouped`] over
+    /// behind [`BatchNorm1d::forward_instance_grouped`]'s forward over
     /// workspace-leased scratch — no tensors, no allocation, bit-identical
     /// per backend (it *is* the same code).
     ///
@@ -303,6 +369,7 @@ impl Module for LayerNorm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradcheck::gradcheck;
 
     #[test]
     fn batchnorm_normalizes_training_batch() {
@@ -389,6 +456,70 @@ mod tests {
             let solo = bn.forward_instance(&block).to_vec();
             assert_eq!(&grouped[g * 12..(g + 1) * 12], &solo[..], "group {g} not bit-identical");
         }
+    }
+
+    /// Two 4-row blocks at very different scales, and a fixed non-uniform
+    /// weighting so the loss has a non-trivial gradient in every input.
+    fn grouped_fixture() -> (Vec<f32>, Tensor) {
+        let mut data: Vec<f32> = (0..12).map(|i| (i as f32 * 0.37).cos()).collect();
+        data.extend((0..12).map(|i| 5.0 + (i as f32 * 0.11).sin() * 3.0));
+        let w =
+            Tensor::from_vec((0..24).map(|i| ((i * 7) % 5) as f32 * 0.3 - 0.6).collect(), &[8, 3]);
+        (data, w)
+    }
+
+    #[test]
+    fn grouped_backward_passes_gradcheck() {
+        let bn = BatchNorm1d::new(3);
+        let params = bn.params();
+        params[0].set_data(&[1.2, 0.7, -0.4]);
+        params[1].set_data(&[0.1, -0.2, 0.3]);
+        let (data, w) = grouped_fixture();
+        let x = Tensor::from_vec(data, &[8, 3]).requires_grad(true);
+        let report = gradcheck(
+            &[x, params[0].clone(), params[1].clone()],
+            |ls| bn.forward_instance_grouped(&ls[0], 2).mul(&w).square().sum_all(),
+            1e-2,
+        );
+        assert!(report.passes(2e-2), "max rel error {}", report.max_rel_error);
+    }
+
+    /// The grouped backward against the composed per-block chain: the same
+    /// gradient up to summation order, so within 1e-5 (inputs and gradients
+    /// here are O(1)).
+    #[test]
+    fn grouped_backward_matches_blockwise_backward() {
+        let bn = BatchNorm1d::new(3);
+        let (data, w) = grouped_fixture();
+        let x1 = Tensor::from_vec(data.clone(), &[8, 3]).requires_grad(true);
+        bn.forward_instance_grouped(&x1, 2).mul(&w).square().sum_all().backward();
+        let grouped_params: Vec<Vec<f32>> = bn.params().iter().map(|p| p.grad().unwrap()).collect();
+        for p in bn.params() {
+            p.zero_grad();
+        }
+        let x2 = Tensor::from_vec(data, &[8, 3]).requires_grad(true);
+        let blocks: Vec<Tensor> =
+            (0..2).map(|g| bn.forward_instance(&x2.slice_rows(g * 4, (g + 1) * 4))).collect();
+        Tensor::concat_rows(&blocks).mul(&w).square().sum_all().backward();
+        let pairs = [
+            (x1.grad().unwrap(), x2.grad().unwrap()),
+            (grouped_params[0].clone(), bn.params()[0].grad().unwrap()),
+            (grouped_params[1].clone(), bn.params()[1].grad().unwrap()),
+        ];
+        for (name, (grouped, blockwise)) in ["dx", "dgamma", "dbeta"].iter().zip(&pairs) {
+            for (a, b) in grouped.iter().zip(blockwise) {
+                assert!((a - b).abs() < 1e-5, "{name}: grouped {a} vs blockwise {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_forward_of_untracked_input_records_nothing() {
+        let bn = BatchNorm1d::new(2);
+        bn.set_frozen(true);
+        let y =
+            bn.forward_instance_grouped(&Tensor::from_vec(vec![1.0, 2.0, 3.0, 5.0], &[2, 2]), 1);
+        assert!(!y.is_tracked());
     }
 
     #[test]

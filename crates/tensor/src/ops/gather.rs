@@ -21,12 +21,13 @@ impl Tensor {
         let s = self.shape();
         assert_eq!(s.len(), 2, "index_select_rows: expected 2-D tensor");
         let (m, n) = (s[0], s[1]);
-        let a = self.to_vec();
         let mut data = vec![0.0f32; indices.len() * n];
-        for (i, &idx) in indices.iter().enumerate() {
-            assert!(idx < m, "index_select_rows: index {idx} out of bounds for {m} rows");
-            data[i * n..(i + 1) * n].copy_from_slice(&a[idx * n..(idx + 1) * n]);
-        }
+        self.with_data(|a| {
+            for (i, &idx) in indices.iter().enumerate() {
+                assert!(idx < m, "index_select_rows: index {idx} out of bounds for {m} rows");
+                data[i * n..(i + 1) * n].copy_from_slice(&a[idx * n..(idx + 1) * n]);
+            }
+        });
         let idx = indices.to_vec();
         let k = indices.len();
         Tensor::from_op(
@@ -56,12 +57,13 @@ impl Tensor {
         assert_eq!(s.len(), 2, "scatter_add_rows: expected 2-D tensor");
         let (e, n) = (s[0], s[1]);
         assert_eq!(dst.len(), e, "scatter_add_rows: dst length mismatch");
-        let a = self.to_vec();
         let mut data = vec![0.0f32; out_rows * n];
-        for (i, &d) in dst.iter().enumerate() {
-            assert!(d < out_rows, "scatter_add_rows: index {d} out of bounds for {out_rows}");
-            simd::vadd_assign(&mut data[d * n..(d + 1) * n], &a[i * n..(i + 1) * n]);
-        }
+        self.with_data(|a| {
+            for (i, &d) in dst.iter().enumerate() {
+                assert!(d < out_rows, "scatter_add_rows: index {d} out of bounds for {out_rows}");
+                simd::vadd_assign(&mut data[d * n..(d + 1) * n], &a[i * n..(i + 1) * n]);
+            }
+        });
         let dst_c = dst.to_vec();
         Tensor::from_op(
             data,
